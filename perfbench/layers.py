@@ -41,12 +41,13 @@ METRICS: List[Tuple[str, str]] = [
     ("io.parse_col.datetime_share", "ratio"),
     ("sidecar.store_s", "s"), ("sidecar.load_s", "s"),
     ("sidecar.bytes_per_csv_byte", "ratio"), ("sidecar.hits", "count"),
-    ("sidecar.misses", "count"),
+    ("sidecar.misses", "count"), ("sidecar.process_hits", "count"),
     ("zonemap.build_s", "s"), ("predicate.chunks_skipped", "count"),
     ("predicate.skip_ratio", "ratio"), ("predicate.rows_filtered", "count"),
     ("refresh.rescan_s", "s"), ("refresh.chunks_reused", "count"),
     ("refresh.chunks_new", "count"), ("refresh.bytes_reparsed", "bytes"),
-    ("refresh.reparse_ratio", "ratio"),
+    ("refresh.reparse_ratio", "ratio"), ("refresh.process_bytes_reparsed", "bytes"),
+    ("refresh.process_reparse_ratio", "ratio"),
     ("fingerprint.frame_s", "s"),
     ("stats.numeric_summary_s", "s"), ("stats.categorical_summary_s", "s"),
     ("compute.report_s", "s"), ("compute.overview_s", "s"),
@@ -143,6 +144,8 @@ class Decomposition:
             self._graph(iteration)
             if scan and handle is not None:
                 self._refresh(handle)
+            if scan:
+                self._process_scheduler(iteration)
         self._finish()
 
     def _compute_and_render(self, data: Any) -> None:
@@ -204,6 +207,38 @@ class Decomposition:
             if report is not None:
                 self.problems += [f"{name}: {problem}"
                                   for problem in bench.truth.check_report(report)]
+
+    def _process_scheduler(self, iteration: int) -> None:
+        """A report on a warm sidecar and its refresh, on the process scheduler.
+
+        A threaded report writes the sidecar first; with the cache cleared,
+        the process report on a fresh handle finds every chunk stored.
+        """
+        bench, call = self.bench, self.tracer.call
+        config = {"compute.scheduler": "process", "compute.max_workers": bench.workers}
+        bench.reset(iteration)
+        call("graph", "store_report", repro.create_report,
+             repro.scan_csv(bench.csv, chunk_rows=bench.chunk_rows))
+        repro.clear_cache()
+        report = call("graph", "process_report", repro.create_report,
+                      repro.scan_csv(bench.csv, chunk_rows=bench.chunk_rows), config=config)
+        if report is None:
+            return
+        self.problems += [f"process report: {problem}"
+                          for problem in bench.truth.check_report(report)]
+        self.metrics["sidecar.process_hits"] = float(
+            report.sidecar_stats.get("sidecar_hits", 0))
+        with open(bench.csv, "ab") as target:
+            target.write(bench.delta_bytes)
+        refreshed = call("frame.source", "process_refresh", report.refresh)
+        if refreshed is None:
+            return
+        self.problems += [f"process refresh: {problem}"
+                          for problem in bench.grown_truth.check_report(refreshed)]
+        reparsed = float(refreshed.incremental_stats.get("bytes_reparsed", 0))
+        self.metrics["refresh.process_bytes_reparsed"] = reparsed
+        self.metrics["refresh.process_reparse_ratio"] = _ratio(reparsed,
+                                                               len(bench.delta_bytes))
 
     def _refresh(self, handle: Any) -> None:
         """Append the iteration's delta, re-resolve the scan, handle new chunks."""

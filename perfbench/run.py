@@ -172,8 +172,8 @@ def main(argv=None) -> int:
                       f"{label} {tail:12.6g}  n={n}")
                 result_metrics[name] = {"value": _finite(median), "unit": unit}
     finally:
-        if workload.scheduler == "process":
-            session.stop_pools(bench.workers)
+        # The traced run of a scan starts a process pool.
+        session.stop_pools(bench.workers)
         shutil.rmtree(workdir, ignore_errors=True)
     for problem in problems[:20]:
         print(f"  WRONG: {problem}")
